@@ -55,10 +55,10 @@ class Predicate:
 
     ``kind``/``payload`` describe the predicate *structurally* for
     consumers that compile rather than call it (the SQL pushdown
-    backend): ``"characterized_by"`` carries ``(dimension_name,
-    value)``, ``"conjunction"`` the operand predicates.  Every other
-    constructor leaves the default ``"opaque"`` — callable but not
-    translatable.
+    backend, and σ's rollup-index path for dices):
+    ``"characterized_by"`` carries ``(dimension_name, value)``,
+    ``"conjunction"`` the operand predicates.  Every other constructor
+    leaves the default ``"opaque"`` — callable but not translatable.
     """
 
     dims: Tuple[str, ...]

@@ -6,20 +6,30 @@
 facts.  The set of facts is restricted to those characterized by values
 where p evaluates to true; dimensions and schema stay the same, and —
 per §4.2 — selection does not change the time attached to the result.
+
+The per-fact scan below is the general evaluator.  Dices — a
+``characterized_by(d, v)`` predicate or a conjunction of them — are
+answered from the rollup index instead: ``f ⇝ v`` holds exactly when
+``f`` is in ``v``'s closure, so σ becomes closure intersections on
+interned fact ids.  The predicate's shape alone picks the path.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.algebra.predicates import Predicate, SelectionContext
 from repro.core.errors import SchemaError
 from repro.core.mo import MultidimensionalObject
 from repro.core.schema import FactSchema
 from repro.core.values import DimensionValue, Fact
+from repro.obs import metrics
 
-__all__ = ["select", "select_schema"]
+__all__ = ["select", "select_schema", "selection_path"]
+
+_PATH_INDEX = metrics.counter("selection.path.index")
+_PATH_SCAN = metrics.counter("selection.path.scan")
 
 
 def select_schema(schema: FactSchema, predicate: Predicate) -> FactSchema:
@@ -48,16 +58,37 @@ def _candidate_values(mo: MultidimensionalObject, fact: Fact,
     return out
 
 
-def select(mo: MultidimensionalObject,
-           predicate: Predicate) -> MultidimensionalObject:
-    """Apply ``σ[predicate]`` to ``mo``.
+def _dice_bounds(
+        predicate: Predicate) -> Optional[Dict[str, List[DimensionValue]]]:
+    """The diced values per dimension when ``predicate`` is a
+    ``characterized_by`` leaf or a (nested) conjunction of such leaves —
+    the shape σ answers from rollup-index closures — else ``None``."""
+    if predicate.kind == "characterized_by":
+        name, value = predicate.payload
+        return {name: [value]}
+    if predicate.kind != "conjunction":
+        return None
+    bounds: Dict[str, List[DimensionValue]] = {}
+    for operand in predicate.payload:
+        inner = _dice_bounds(operand)
+        if inner is None:
+            return None
+        for name, values in inner.items():
+            bounds.setdefault(name, []).extend(values)
+    return bounds
 
-    The existential quantification over value tuples is evaluated per
-    fact over the fact's *characterizing* values in each dimension the
-    predicate constrains; unconstrained dimensions are witnessed by ⊤
-    (every fact is characterized by ⊤, so they never exclude a fact).
-    """
-    select_schema(mo.schema, predicate)
+
+def selection_path(predicate: Predicate) -> str:
+    """Which evaluator σ uses for ``predicate``: ``"index"`` for dices
+    (see :func:`_dice_bounds`), ``"scan"`` — the per-fact predicate
+    evaluation — for every other predicate."""
+    return "scan" if _dice_bounds(predicate) is None else "index"
+
+
+def _scan(mo: MultidimensionalObject, predicate: Predicate) -> Set[Fact]:
+    """The general evaluator: the existential quantification over value
+    tuples, per fact, over the fact's *characterizing* values in each
+    dimension the predicate constrains."""
     surviving: Set[Fact] = set()
     for fact in mo.facts:
         ctx = SelectionContext(mo=mo, fact=fact)
@@ -74,6 +105,39 @@ def select(mo: MultidimensionalObject,
             if predicate(values, ctx):
                 surviving.add(fact)
                 break
+    return surviving
+
+
+def _index_dice(mo: MultidimensionalObject,
+                bounds: Dict[str, List[DimensionValue]]) -> Set[Fact]:
+    """Dices from the rollup index: ``f ⇝ v`` is membership in ``v``'s
+    closure, so the survivors are ``F`` intersected with each diced
+    dimension's shared-witness closure, computed on interned ids."""
+    index = mo.rollup_index()
+    ids = index.mo_fact_ids()
+    for name, values in bounds.items():
+        ids = ids & index.witness_fact_ids(name, values)
+    return index.facts_of_ids(ids)
+
+
+def select(mo: MultidimensionalObject,
+           predicate: Predicate) -> MultidimensionalObject:
+    """Apply ``σ[predicate]`` to ``mo``.
+
+    Unconstrained dimensions are witnessed by ⊤ (every fact is
+    characterized by ⊤, so they never exclude a fact).  Dices —
+    ``characterized_by`` and conjunctions of them — are answered from
+    the rollup index's closures; every other predicate is evaluated per
+    fact.  Both paths return the same MO.
+    """
+    select_schema(mo.schema, predicate)
+    bounds = _dice_bounds(predicate)
+    if bounds is None:
+        _PATH_SCAN.inc()
+        surviving = _scan(mo, predicate)
+    else:
+        _PATH_INDEX.inc()
+        surviving = _index_dice(mo, bounds)
     relations = {
         name: mo.relation(name).restricted_to_facts(surviving)
         for name in mo.dimension_names

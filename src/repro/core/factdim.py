@@ -269,12 +269,33 @@ class FactDimensionRelation:
 
     def restricted_to_facts(self, facts: Set[Fact]) -> "FactDimensionRelation":
         """The relation restricted to the given fact set (selection and
-        difference restrict this way)."""
+        difference restrict this way).
+
+        A bulk copy driven by the kept facts: the source's pairs are
+        already validated and coalesced, so they need no :meth:`add`
+        replay, and facts outside ``facts`` are never touched.  The copy
+        owns its annotation lists and value/fact sets, and, like every
+        derived relation, starts at version 0 with an empty change
+        log."""
         result = FactDimensionRelation(self._dimension_name)
-        for (fact, value), annotations in self._entries.items():
-            if fact in facts:
-                for time, prob in annotations:
-                    result.add(fact, value, time=time, prob=prob)
+        entries = result._entries
+        by_fact = result._by_fact
+        source_entries = self._entries
+        source_by_fact = self._by_fact
+        for fact in facts:
+            values = source_by_fact.get(fact)
+            if values is None:
+                continue
+            by_fact[fact] = set(values)
+            for value in values:
+                key = (fact, value)
+                entries[key] = list(source_entries[key])
+        # set intersection reuses the stored hashes (no per-fact
+        # ``__hash__`` call)
+        result._by_value = {
+            value: kept for value, related in self._by_value.items()
+            if (kept := related & facts)
+        }
         return result
 
     def union(self, other: "FactDimensionRelation") -> "FactDimensionRelation":

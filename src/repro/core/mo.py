@@ -212,6 +212,9 @@ class MultidimensionalObject:
         each dimension's order/relation mutation counters and rebuilds
         only the dimensions that changed, so holding on to it across
         mutations is safe (queries after a mutation see fresh closures).
+        It refers back to this MO weakly, so an MO and its index are
+        freed together by reference counting; keep the MO alive, not
+        only its index.
         """
         if self._rollup_index is None:
             from repro.engine.rollup_index import RollupIndex

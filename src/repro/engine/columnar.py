@@ -42,6 +42,7 @@ Fallback rules (any of these routes the caller to the object path):
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -245,7 +246,10 @@ class ColumnarStore:
     """
 
     def __init__(self, index: RollupIndex) -> None:
-        self._index = index
+        # weak, like the index's own MO pointer: the index owns this
+        # store and the store owns its groupings, so strong back-pointers
+        # would leave all three (and their arrays) to the cycle collector
+        self._index = weakref.proxy(index)
         self._groupings: Dict[Tuple[Tuple[str, str], ...],
                               ColumnarGrouping] = {}
         self._measures: Dict[str, MeasureColumn] = {}
@@ -325,8 +329,8 @@ class ColumnarStore:
             if not empty:
                 self._fill_rows(nontrivial, keys, row_facts)
             _BUILDS.inc()
-            return ColumnarGrouping(index, self, items, keys, row_facts,
-                                    specs, stamp)
+            return ColumnarGrouping(index, weakref.proxy(self), items,
+                                    keys, row_facts, specs, stamp)
 
     def _fill_rows(self, nontrivial, keys: array, row_facts: array) -> None:
         """One pass over the MO's facts in id order, composing each
@@ -385,11 +389,12 @@ class ColumnarStore:
         column = MeasureColumn(size, stamp)
         counts, sums = column.counts, column.sums
         mins, maxs = column.mins, column.maxs
+        fact_id = index.fact_id  # one lookup through the weak proxy
         try:
             for fact in mo.facts:
                 ms = measures_of(mo, dimension_name, fact)
                 if ms:
-                    fid = index.fact_id(fact)
+                    fid = fact_id(fact)
                     counts[fid] = len(ms)
                     sums[fid] = sum(ms)
                     mins[fid] = min(ms)

@@ -28,6 +28,8 @@ from repro.algebra import (
     select,
 )
 from repro.algebra.functions import AggregationFunction
+from repro.algebra.predicates import Predicate
+from repro.algebra.selection import selection_path
 from repro.core.errors import SchemaError
 from repro.core.helpers import make_result_spec
 from repro.core.mo import MultidimensionalObject, TimeKind
@@ -160,11 +162,22 @@ class Query:
         q._grouping[dimension_name] = category_name
         return q
 
+    def _dice_predicate(self) -> Predicate:
+        """All dices as one conjunction: several dices on one dimension
+        must be satisfied by one shared witness value."""
+        return conjunction(*(characterized_by(d, v) for d, v in self._dices))
+
     def _diced_mo(self) -> MultidimensionalObject:
         if not self._dices:
             return self._mo
-        predicates = [characterized_by(d, v) for d, v in self._dices]
-        return select(self._mo, conjunction(*predicates))
+        return select(self._mo, self._dice_predicate())
+
+    def _dice_detail(self) -> str:
+        """The explain detail of the dice step: the dices and the path
+        σ answers them by (:func:`~repro.algebra.selection
+        .selection_path`)."""
+        dices = ", ".join(f"{d}={v!r}" for d, v in self._dices)
+        return f"{dices}; σ path={selection_path(self._dice_predicate())}"
 
     def to_plan(self, function: Optional[AggregationFunction] = None,
                 strict_types: bool = False):
@@ -196,9 +209,7 @@ class Query:
         from repro.engine.optimizer import AggregateNode, Base, SelectNode
         plan = Base(self._mo)
         if self._dices:
-            predicates = [characterized_by(d, v) for d, v in self._dices]
-            plan = SelectNode(child=plan,
-                              predicate=conjunction(*predicates))
+            plan = SelectNode(child=plan, predicate=self._dice_predicate())
         return AggregateNode(
             child=plan,
             function=function,
@@ -409,7 +420,7 @@ class Query:
             if steps is not None and self._dices:
                 steps.append(ExplainStep(
                     name="dice",
-                    detail=", ".join(f"{d}={v!r}" for d, v in self._dices),
+                    detail=self._dice_detail(),
                     elapsed_seconds=time.perf_counter() - t0,
                     facts_in=len(self._mo.facts),
                     facts_out=len(mo.facts)))

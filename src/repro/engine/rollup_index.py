@@ -2,10 +2,11 @@
 (paper §5 future work: "how the model can be efficiently implemented
 using special-purpose algorithms and data structures").
 
-Every operation that groups facts — aggregate formation, drill-across,
-imprecision analysis, time-series counts, cube materialization —
-ultimately needs the characterization relation ``f ⇝ e`` for whole
-categories of values.  The naive evaluation
+Every operation that groups or dices facts — aggregate formation, σ's
+``characterized_by`` dices, drill-across, imprecision analysis,
+time-series counts, cube materialization — ultimately needs the
+characterization relation ``f ⇝ e`` for whole categories of values.
+The naive evaluation
 (:meth:`repro.core.factdim.FactDimensionRelation.facts_characterized_by`)
 re-walks the dimension's partial order once per value per query.  A
 :class:`RollupIndex` instead:
@@ -33,6 +34,7 @@ against the naive oracle.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -182,7 +184,11 @@ class RollupIndex:
     """
 
     def __init__(self, mo) -> None:
-        self._mo = mo
+        # weak: the MO owns its index, so a strong back-pointer would
+        # make every MO a reference cycle that only a full collection
+        # frees (diced sub-MOs, with their relations and columnar
+        # arrays, would pile up until then)
+        self._mo_ref = weakref.ref(mo)
         self._facts = InternTable()
         self._value_tables: Dict[str, InternTable] = {}
         self._dims: Dict[str, _DimensionIndex] = {}
@@ -201,8 +207,15 @@ class RollupIndex:
 
     @property
     def mo(self):
-        """The indexed MO."""
-        return self._mo
+        """The indexed MO.  The index holds it weakly; once the MO has
+        been freed this raises :class:`ReferenceError` — keep the MO,
+        not only its index, alive."""
+        mo = self._mo_ref()
+        if mo is None:
+            raise ReferenceError(
+                "the MO this RollupIndex indexed no longer exists; keep "
+                "a reference to the MO, not only to its rollup index")
+        return mo
 
     @property
     def build_count(self) -> int:
@@ -220,8 +233,9 @@ class RollupIndex:
     # -- freshness ---------------------------------------------------------
 
     def _entry(self, dimension_name: str) -> _DimensionIndex:
-        dimension = self._mo.dimension(dimension_name)
-        relation = self._mo.relation(dimension_name)
+        mo = self.mo
+        dimension = mo.dimension(dimension_name)
+        relation = mo.relation(dimension_name)
         entry = self._dims.get(dimension_name)
         if entry is not None and entry.is_fresh(dimension, relation):
             return entry
@@ -356,9 +370,9 @@ class RollupIndex:
         """Whether the dimension's table exists and matches the current
         order/relation versions (no query has to rebuild)."""
         entry = self._dims.get(dimension_name)
+        mo = self.mo
         return entry is not None and entry.is_fresh(
-            self._mo.dimension(dimension_name),
-            self._mo.relation(dimension_name))
+            mo.dimension(dimension_name), mo.relation(dimension_name))
 
     def invalidate(self, dimension_name: Optional[str] = None) -> None:
         """Drop cached tables (one dimension, or all).
@@ -385,12 +399,13 @@ class RollupIndex:
         and re-checks.
         """
         names = tuple(sorted(grouping))
+        mo = self.mo
         key = (
             tuple((name, grouping[name]) for name in names),
             distributive,
             at,
-            tuple((self._mo.dimension(name).order.version,
-                   self._mo.relation(name).version) for name in names),
+            tuple((mo.dimension(name).order.version,
+                   mo.relation(name).version) for name in names),
         )
         verdict = self._verdicts.get(key)
         if verdict is None:
@@ -405,7 +420,7 @@ class RollupIndex:
             else:
                 with trace.span("rollup_index.summarizability",
                                 grouping=names):
-                    verdict = check_summarizability(self._mo, dict(grouping),
+                    verdict = check_summarizability(mo, dict(grouping),
                                                     distributive, at=at)
             self._verdicts[key] = verdict
         else:
@@ -437,7 +452,7 @@ class RollupIndex:
         check, which rebuilds a subdimension for every new grouping key.
         """
         for name, cat in grouping.items():
-            dimension = self._mo.dimension(name)
+            dimension = self.mo.dimension(name)
             dtype = dimension.dtype
             if not (dtype.declared_strict and dtype.declared_partitioning):
                 return False
@@ -459,12 +474,12 @@ class RollupIndex:
         """Definition 2's strict-path condition (no fact characterized
         by two values of the category), answered from the cached
         per-fact grouping map and memoized per version pair."""
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         if category_name == dimension.dtype.top_name:
             return True
         key = (dimension_name, "*paths*", category_name,
                dimension.order.version,
-               self._mo.relation(dimension_name).version)
+               self.mo.relation(dimension_name).version)
         cached = self._strictness.get(key)
         if cached is None:
             per_fact = self.grouping_values_per_fact(dimension_name,
@@ -484,7 +499,7 @@ class RollupIndex:
         :func:`repro.core.properties.mapping_is_strict`.  Cached keyed
         by the dimension's order version (category membership bumps the
         order counter too, via ``add_node``)."""
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         key = (dimension_name, lower_category, upper_category,
                dimension.order.version)
         cached = self._strictness.get(key)
@@ -509,7 +524,7 @@ class RollupIndex:
         pair's mapping is strict.  Built on :meth:`mapping_strict`, so
         repeated queries (the analyzer, the pre-aggregate store) answer
         from the per-pair cache."""
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         key = (dimension_name, "*hierarchy*", dimension.order.version)
         cached = self._strictness.get(key)
         if cached is not None:
@@ -531,7 +546,7 @@ class RollupIndex:
         sets (a value is covered iff its ancestors meet some
         immediate-predecessor category, or ⊤ is a predecessor).  Cached
         keyed by the dimension's order version."""
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         key = (dimension_name, "*partitioning*", dimension.order.version)
         cached = self._strictness.get(key)
         if cached is not None:
@@ -614,12 +629,42 @@ class RollupIndex:
         candidates = self._fact_set(entry, value)
         if at is None:
             return candidates
-        dimension = self._mo.dimension(dimension_name)
-        relation = self._mo.relation(dimension_name)
+        mo = self.mo
+        dimension = mo.dimension(dimension_name)
+        relation = mo.relation(dimension_name)
         return frozenset(
             f for f in candidates
             if relation.characterizes(f, value, dimension, at=at)
         )
+
+    def witness_fact_ids(self, dimension_name: str,
+                         bounds: Iterable[DimensionValue]) -> FrozenSet[int]:
+        """The interned ids of the facts characterized by one value lying
+        below every value of ``bounds`` — σ's reading of several
+        ``characterized_by`` dices on one dimension, which must share a
+        single witness.  A single bound is its own closure; ⊤ bounds
+        constrain nothing.  Untimed, and not restricted to the MO's
+        fact set (intersect with :meth:`mo_fact_ids`).
+        """
+        entry = self._entry(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
+        top = dimension.top_value
+        below = [b for b in dict.fromkeys(bounds) if b != top]
+        if len(below) <= 1:
+            return self._closure_ids(entry, below[0] if below else top)
+        witnesses = dimension.descendants(below[0], reflexive=True)
+        for bound in below[1:]:
+            witnesses &= dimension.descendants(bound, reflexive=True)
+        return _EMPTY_IDS.union(
+            *(self._closure_ids(entry, w) for w in witnesses))
+
+    @staticmethod
+    def _closure_ids(entry: _DimensionIndex,
+                     value: DimensionValue) -> FrozenSet[int]:
+        vid = entry.values.id_of(value)
+        if vid is None:
+            return _EMPTY_IDS
+        return entry.closure.get(vid, _EMPTY_IDS)
 
     def characterization_map(
         self, dimension_name: str, category_name: str
@@ -637,7 +682,7 @@ class RollupIndex:
             _CHAR_MAP_HIT.inc()
             return cached
         _CHAR_MAP_MISS.inc()
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         category = dimension.category(category_name)
         with trace.span("rollup_index.char_map", dimension=dimension_name,
                         category=category_name):
@@ -698,12 +743,12 @@ class RollupIndex:
         """
         if stored_category == target_category:
             return True
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         key = (
             dimension_name, stored_category, target_category,
             dimension.order.version,
-            self._mo.relation(dimension_name).version,
-            self._mo.facts_version,
+            self.mo.relation(dimension_name).version,
+            self.mo.facts_version,
         )
         cached = self._coverage.get(key)
         if cached is not None:
@@ -771,10 +816,10 @@ class RollupIndex:
         :func:`repro.algebra.aggregate._grouping_values_per_fact`.
         Treat the returned map as read-only.
         """
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         if category_name == dimension.dtype.top_name:
             top = dimension.top_value
-            return {fact: [top] for fact in self._mo.facts}
+            return {fact: [top] for fact in self.mo.facts}
         if at is not None:
             return self._grouping_values_at(dimension_name, category_name, at)
         entry = self._entry(dimension_name)
@@ -801,7 +846,7 @@ class RollupIndex:
             _PER_FACT_HIT.inc()
             return cached
         _PER_FACT_MISS.inc()
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         by_fact_ids: Dict[int, List[int]] = {}
         for value in dimension.category(category_name).members():
             vid = entry.values.id_of(value)
@@ -826,11 +871,11 @@ class RollupIndex:
         against the MO's fact-set version.  Grouping must only emit
         facts of ``F`` even when a relation (transiently) mentions
         others, and this set makes that a per-id integer check."""
-        version = self._mo.facts_version
+        version = self.mo.facts_version
         if self._mo_fact_ids is None or self._mo_facts_version != version:
             intern = self._facts.intern
             ops = (None if self._mo_fact_ids is None else
-                   self._mo.fact_log.since(self._mo_facts_version, version))
+                   self.mo.fact_log.since(self._mo_facts_version, version))
             if ops is not None:
                 # the fact set only grows: patch the interned view with
                 # the logged insertions instead of re-interning F
@@ -838,7 +883,7 @@ class RollupIndex:
                     intern(fact) for _, fact in ops)
             else:
                 self._mo_fact_ids = frozenset(
-                    intern(f) for f in self._mo.facts)
+                    intern(f) for f in self.mo.facts)
             self._mo_facts_version = version
         return self._mo_fact_ids
 
@@ -910,7 +955,7 @@ class RollupIndex:
         self, dimension_name: str, category_name: str, at: Chronon
     ) -> Dict[Fact, List[DimensionValue]]:
         """The temporal variant: closure candidates, naive time filter."""
-        dimension = self._mo.dimension(dimension_name)
+        dimension = self.mo.dimension(dimension_name)
         table = self._value_tables.setdefault(dimension_name, InternTable())
         out: Dict[Fact, Set[DimensionValue]] = {}
         for value in dimension.category(category_name).members(at=at):
@@ -923,5 +968,5 @@ class RollupIndex:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"RollupIndex({self._mo!r}, {len(self._dims)} dimensions "
-                f"indexed, {self._builds} builds)")
+        return (f"RollupIndex({self._mo_ref()!r}, {len(self._dims)} "
+                f"dimensions indexed, {self._builds} builds)")

@@ -644,7 +644,7 @@ class ShardedBackend(ExecutionBackend):
         if steps is not None and query._dices:
             steps.append(ExplainStep(
                 name="dice",
-                detail=", ".join(f"{d}={v!r}" for d, v in query._dices),
+                detail=query._dice_detail(),
                 elapsed_seconds=time.perf_counter() - t0,
                 facts_in=len(query._mo.facts), facts_out=len(mo.facts)))
         with trace.span("query.execute",

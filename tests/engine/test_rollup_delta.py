@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.values import DimensionValue, Fact
 from repro.engine.rollup_index import RollupIndex
 from repro.obs import metrics
 
-from tests.strategies import small_mos
+from tests.strategies import (apply_mutation_script, mutation_scripts,
+                              small_mos)
 
 
 def _assert_matches_fresh(index, mo):
@@ -104,63 +104,7 @@ class TestSingleMutations:
         _assert_matches_fresh(index, mo)
 
 
-@st.composite
-def _mutation_scripts(draw):
-    """A script of delta-able mutations as data: each step either adds
-    a fresh fact related somewhere, relates an (existing or new) fact
-    to another value, or adds one hierarchy edge."""
-    return draw(st.lists(
-        st.tuples(
-            st.sampled_from(["new_fact", "relate", "edge"]),
-            st.integers(min_value=0, max_value=10 ** 6),
-            st.integers(min_value=0, max_value=10 ** 6),
-        ),
-        min_size=1, max_size=8,
-    ))
-
-
-def _apply_script(mo, script):
-    """Replay a mutation script against the MO, interpreting the drawn
-    integers against whatever the MO currently contains; returns how
-    many steps mutated anything."""
-    applied = 0
-    next_fid = 10 ** 6  # clear of the generator's fact ids
-    for op, a, b in script:
-        names = mo.dimension_names
-        name = names[a % len(names)]
-        dimension = mo.dimension(name)
-        values = [v for cat in dimension.categories()
-                  for v in cat.members() if not v.is_top]
-        if op == "new_fact":
-            fact = Fact(fid=next_fid, ftype=mo.schema.fact_type)
-            next_fid += 1
-            target = (values[b % len(values)] if values
-                      else dimension.top_value)
-            mo.relate(fact, name, target)
-            applied += 1
-        elif op == "relate":
-            facts = sorted(mo.facts, key=repr)
-            if not facts or not values:
-                continue
-            mo.relate(facts[b % len(facts)], name, values[a % len(values)])
-            applied += 1
-        else:  # one upward edge between adjacent levels
-            levels = [ctype.name for ctype in dimension.dtype.category_types()
-                      if not ctype.is_top]
-            if len(levels) < 2:
-                continue
-            i = a % (len(levels) - 1)
-            children = list(dimension.category(levels[i]).members())
-            parents = list(dimension.category(levels[i + 1]).members())
-            if not children or not parents:
-                continue
-            dimension.add_edge(children[b % len(children)],
-                               parents[(a + b) % len(parents)])
-            applied += 1
-    return applied
-
-
-@given(mo=small_mos(), script=_mutation_scripts())
+@given(mo=small_mos(), script=mutation_scripts())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_delta_maintained_index_matches_fresh_build(mo, script):
@@ -168,11 +112,11 @@ def test_delta_maintained_index_matches_fresh_build(mo, script):
     incrementally maintained index ≡ a freshly built index."""
     index = mo.rollup_index()
     _warm(index, mo)
-    _apply_script(mo, script)
+    apply_mutation_script(mo, script)
     _assert_matches_fresh(index, mo)
 
 
-@given(mo=small_mos(), script=_mutation_scripts())
+@given(mo=small_mos(), script=mutation_scripts())
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_interleaved_queries_stay_consistent(mo, script):
@@ -181,6 +125,6 @@ def test_interleaved_queries_stay_consistent(mo, script):
     index = mo.rollup_index()
     _warm(index, mo)
     for step in script:
-        _apply_script(mo, [step])
+        apply_mutation_script(mo, [step])
         _warm(index, mo)
     _assert_matches_fresh(index, mo)

@@ -69,7 +69,8 @@ class TestStaticFastPath:
         without the full extensional check."""
         from repro.workloads import generate_retail
 
-        index = generate_retail().mo.rollup_index()
+        mo = generate_retail().mo  # the index holds its MO weakly
+        index = mo.rollup_index()
         counter = metrics.counter(
             "rollup_index.summarizability.static_fast_path")
         before = counter.value

@@ -25,6 +25,8 @@ __all__ = [
     "probabilities",
     "small_dimensions",
     "small_mos",
+    "mutation_scripts",
+    "apply_mutation_script",
 ]
 
 #: a narrow band of the time domain keeps interval arithmetic readable
@@ -137,3 +139,59 @@ def small_mos(draw, n_dims: int = None, temporal: bool = False,
                 prob = draw(probabilities) if probabilistic else 1.0
                 mo.relate(fact, name, value, time=time, prob=prob)
     return mo
+
+
+@st.composite
+def mutation_scripts(draw):
+    """A script of delta-able mutations as data: each step either adds
+    a fresh fact related somewhere, relates an (existing or new) fact
+    to another value, or adds one hierarchy edge."""
+    return draw(st.lists(
+        st.tuples(
+            st.sampled_from(["new_fact", "relate", "edge"]),
+            st.integers(min_value=0, max_value=10 ** 6),
+            st.integers(min_value=0, max_value=10 ** 6),
+        ),
+        min_size=1, max_size=8,
+    ))
+
+
+def apply_mutation_script(mo, script):
+    """Replay a mutation script against the MO, interpreting the drawn
+    integers against whatever the MO currently contains; returns how
+    many steps mutated anything."""
+    applied = 0
+    next_fid = 10 ** 6  # clear of the generator's fact ids
+    for op, a, b in script:
+        names = mo.dimension_names
+        name = names[a % len(names)]
+        dimension = mo.dimension(name)
+        values = [v for cat in dimension.categories()
+                  for v in cat.members() if not v.is_top]
+        if op == "new_fact":
+            fact = Fact(fid=next_fid, ftype=mo.schema.fact_type)
+            next_fid += 1
+            target = (values[b % len(values)] if values
+                      else dimension.top_value)
+            mo.relate(fact, name, target)
+            applied += 1
+        elif op == "relate":
+            facts = sorted(mo.facts, key=repr)
+            if not facts or not values:
+                continue
+            mo.relate(facts[b % len(facts)], name, values[a % len(values)])
+            applied += 1
+        else:  # one upward edge between adjacent levels
+            levels = [ctype.name for ctype in dimension.dtype.category_types()
+                      if not ctype.is_top]
+            if len(levels) < 2:
+                continue
+            i = a % (len(levels) - 1)
+            children = list(dimension.category(levels[i]).members())
+            parents = list(dimension.category(levels[i + 1]).members())
+            if not children or not parents:
+                continue
+            dimension.add_edge(children[b % len(children)],
+                               parents[(a + b) % len(parents)])
+            applied += 1
+    return applied

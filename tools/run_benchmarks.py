@@ -29,6 +29,13 @@ root (see ``docs/PERFORMANCE.md`` for how to read it):
   relinks and group-count queries with delta maintenance disabled
   (every query after a mutation pays a full closure rebuild) versus
   enabled (the mutation applies as a closure delta);
+* ``select_dice`` — σ over two Region, two County and two Diagnosis
+  Group dices, evaluated by the per-fact predicate scan (each
+  ``characterized_by`` test wrapped in an opaque ``Predicate``) versus
+  the rollup-index closures (``scan_ops_per_sec`` vs
+  ``index_ops_per_sec``, in dices per second).  The cell refuses to
+  report unless both paths give the same facts and relation pairs for
+  every dice (``agreed_dices`` counts them);
 * ``sql_pushdown`` — the two-dimensional roll-up query answered by the
   SQL backend (star export loaded into sqlite once, then queried warm)
   versus the in-memory engine; ``load_seconds`` records the one-time
@@ -81,9 +88,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.algebra import SetCount, Sum, aggregate
+from repro.algebra import SetCount, Sum, aggregate, characterized_by, select
 from repro.algebra.aggregate import _form_groups, _form_groups_interned
 from repro.algebra.functions import Avg, Median
+from repro.algebra.predicates import Predicate
 from repro.analyze import analyze_shardability
 from repro.casestudy.icd import IcdShape
 from repro.core.helpers import make_result_spec
@@ -107,6 +115,9 @@ CUBE_DIMENSIONS = ("Diagnosis", "Residence")
 MATERIALIZE_DIMENSIONS = CUBE_DIMENSIONS
 #: mutations interleaved with queries per mutation-maintenance op
 MUTATION_BATCH = 24
+#: the ``select_dice`` cell's dices: two values of each category
+SELECT_DICE_CATEGORIES = (("Residence", "Region"), ("Residence", "County"),
+                          ("Diagnosis", "Diagnosis Group"))
 
 
 def workload(n_patients: int):
@@ -493,6 +504,44 @@ def query_result_cache_cell(mo, generated, min_seconds: float) -> dict:
     }
 
 
+def _select_dices(mo):
+    return [
+        characterized_by(name, value)
+        for name, category in SELECT_DICE_CATEGORIES
+        for value in sorted(mo.dimension(name).category(category).members(),
+                            key=repr)[:2]
+    ]
+
+
+def _selection_contents(mo):
+    return (mo.facts, {
+        name: sorted(mo.relation(name).annotated_pairs(), key=repr)
+        for name in mo.dimension_names})
+
+
+def select_dice_cell(mo, min_seconds: float) -> dict:
+    """The ``select_dice`` cell: σ over Region, County and Diagnosis
+    Group dices, evaluated by the per-fact scan (the same test wrapped
+    in an opaque :class:`Predicate`) versus the rollup-index closures.
+    The cell refuses to report unless both give the same facts and
+    relation pairs for every dice (the agreement gate); ops are dices
+    per second."""
+    dices = _select_dices(mo)
+    scans = [Predicate(p.dims, p.test) for p in dices]
+    for dice, scan in zip(dices, scans):
+        assert (_selection_contents(select(mo, dice))
+                == _selection_contents(select(mo, scan))), (
+            f"index σ disagrees with the scan on {dice.description}")
+    scan = timed(lambda: [select(mo, p) for p in scans], min_seconds)
+    index = timed(lambda: [select(mo, p) for p in dices], min_seconds)
+    return {
+        "agreed_dices": len(dices),
+        "scan_ops_per_sec": round(scan * len(dices), 3),
+        "index_ops_per_sec": round(index * len(dices), 3),
+        "speedup": round(index / scan, 2),
+    }
+
+
 # -- the sweep ---------------------------------------------------------------
 
 
@@ -611,6 +660,7 @@ def bench_scale(n_patients: int, min_seconds: float,
         timed(grouping_core_op(mo, "object"), min_seconds), 3)
     core["kernel_vs_object_speedup"] = round(
         core["kernel_ops_per_sec"] / core["object_ops_per_sec"], 2)
+    cell["select_dice"] = select_dice_cell(mo, min_seconds)
     cell["sql_pushdown"] = sql_pushdown_cell(mo, min_seconds)
     cell["query_result_cache"] = query_result_cache_cell(
         mo, generated, min_seconds)
@@ -623,7 +673,7 @@ def bench_scale(n_patients: int, min_seconds: float,
 
 BENCH_NAMES = ("rollup", "aggregate", "aggregate_grouping", "cube_build",
                "cube_materialize_all", "mutation_maintenance",
-               "query_result_cache")
+               "select_dice", "query_result_cache")
 
 
 def _metrics_snapshot(mo, generated) -> dict:
@@ -634,6 +684,8 @@ def _metrics_snapshot(mo, generated) -> dict:
     metrics.reset()
     indexed_group_counts(mo)
     run_aggregate(mo, use_index=True)
+    # one σ dice, so the snapshot shows selection.path.index > 0
+    select(mo, _select_dices(mo)[0])
     # one pushed-down query (backend already warm from the timing pass),
     # so the snapshot shows sql.pushdown.compiled > 0 with zero
     # fallbacks; cache=False so it exercises the SQL path, not a hit

@@ -26,9 +26,6 @@ __all__ = ["Cuboid", "CubeBuilder", "greedy_view_selection"]
 
 _SIZED = metrics.counter("cube.cuboids_sized")
 _MATERIALIZED = metrics.counter("cube.cuboids_materialized")
-_ROLLUP_FROM_PARENT = metrics.counter("cube.rollup_from_parent")
-_BASE_SCAN_FALLBACK = metrics.counter("cube.base_scan_fallback")
-_PARENT_SIZE = metrics.histogram("cube.parent_size")
 
 #: A cuboid id: the grouping category per dimension, in schema order.
 CuboidKey = Tuple[str, ...]
@@ -54,13 +51,11 @@ class CubeBuilder:
 
     def __init__(self, mo: MultidimensionalObject,
                  dimensions: Optional[Sequence[str]] = None,
-                 function: Optional[AggregationFunction] = None,
-                 shared_scan: bool = True) -> None:
+                 function: Optional[AggregationFunction] = None) -> None:
         self._mo = mo
         self._dims = tuple(dimensions or mo.dimension_names)
         self._function = function or SetCount()
         self._store = PreAggregateStore(mo)
-        self._shared_scan = shared_scan
         self._cuboids: Dict[CuboidKey, Cuboid] = {}
         self._cuboids_stamp = self._versions()
 
@@ -171,26 +166,15 @@ class CubeBuilder:
 
     def materialize(self, key: CuboidKey) -> Cuboid:
         """Materialize one cuboid — results stored in the pre-aggregate
-        store — and record its size and verdict.
-
-        With shared scans enabled (the default) the store first tries
-        to combine the cuboid from the smallest already-materialized
-        strictly finer aggregate (``cube.rollup_from_parent``); only
-        when no safe parent exists does it scan the base
-        characterization maps (``cube.base_scan_fallback``)."""
+        store, scanned from the base data — and record its size and
+        verdict."""
         nontrivial = self._nontrivial(key)
         materialized = self._store.get(self._function, nontrivial)
         if materialized is None:
             with trace.span("cube.materialize", cuboid=key):
-                materialized = self._store.materialize(
-                    self._function, nontrivial,
-                    shared_scan=self._shared_scan)
+                materialized = self._store.materialize(self._function,
+                                                       nontrivial)
             _MATERIALIZED.inc()
-            if materialized.via == "rollup":
-                _ROLLUP_FROM_PARENT.inc()
-                _PARENT_SIZE.observe(materialized.source_size)
-            else:
-                _BASE_SCAN_FALLBACK.inc()
         self._check_cache()
         cuboid = self._cuboids.get(key)
         if cuboid is None:
@@ -222,13 +206,8 @@ class CubeBuilder:
 
     def materialize_all(self) -> List[Cuboid]:
         """Materialize the full lattice (exponential in dimensions with
-        deep hierarchies; the benchmarks bound it).
-
-        Cuboids are visited finest-first so every coarser cuboid finds
-        its parents already in the store — the whole lattice beyond the
-        base cuboid then materializes by combining stored cells instead
-        of re-scanning facts, wherever the rollup gate allows it.
-        Returns cuboids in lattice (finest-first) order."""
+        deep hierarchies; the benchmarks bound it).  Returns cuboids in
+        lattice (finest-first) order."""
         keys = sorted(self.cuboid_keys(),
                       key=self._fineness, reverse=True)
         return [self.materialize(key) for key in keys]

@@ -37,8 +37,6 @@ GroupKey = Tuple[DimensionValue, ...]
 VersionStamp = Tuple[int, Tuple[Tuple[str, int, int], ...]]
 
 _MATERIALIZE = metrics.counter("preagg.materialize")
-_MATERIALIZE_BASE = metrics.counter("preagg.materialize.base")
-_MATERIALIZE_ROLLUP = metrics.counter("preagg.materialize.rollup")
 _REUSE = metrics.counter("preagg.reuse")
 _REFUSE = metrics.counter("preagg.refuse")
 _STALE_EVICTED = metrics.counter("preagg.stale_evicted")
@@ -58,20 +56,13 @@ class MaterializedAggregate:
     grouping: Dict[str, str]
     function_name: str
     results: Dict[GroupKey, object]
-    #: group members per combo; frozensets on the columnar/rollup paths,
-    #: plain sets on the map-expansion fallback — equal either way
+    #: group members per combo; frozensets on the columnar path, plain
+    #: sets on the map-expansion fallback — equal either way
     groups: Dict[GroupKey, AbstractSet[Fact]]
     summarizability: SummarizabilityCheck
     #: the (fact-set, per-dimension order/relation) versions this was
     #: built from; the store serves it only while they still match
     versions: VersionStamp = field(default=(0, ()))
-    #: how this was computed: ``"base"`` (characterization-map scan) or
-    #: ``"rollup"`` (combined from a finer stored aggregate)
-    via: str = "base"
-    #: for ``via="rollup"``: the source grouping and its cell count —
-    #: the cube layer reports the parent-size histogram from this
-    source_grouping: Optional[Dict[str, str]] = None
-    source_size: int = 0
 
 
 class PreAggregateStore:
@@ -126,36 +117,19 @@ class PreAggregateStore:
         return stored.versions == self._stamp()
 
     def materialize(self, function: AggregationFunction,
-                    grouping: Dict[str, str],
-                    shared_scan: bool = True) -> MaterializedAggregate:
+                    grouping: Dict[str, str]) -> MaterializedAggregate:
         """Compute and store the aggregate at the given grouping levels
-        (single- or multi-dimension).
+        (single- or multi-dimension) from the base data: lay the
+        grouping out columnar and evaluate ``function`` with its batch
+        kernel — falling back to expanding the characterization maps
+        (key-space overflow) and/or per-group ``apply`` (no kernel,
+        poisoned measures) on the same groups.
 
-        The *shared-scan* path (default) first looks for the smallest
-        already-stored, still-fresh aggregate at a strictly finer
-        grouping from which this one can be safely combined
-        (:meth:`can_roll_up`: distributive function, exact
-        per-dimension coverage between the changed levels) and rolls
-        its cell values and groups up instead of re-scanning the
-        characterization maps.  ``shared_scan=False`` forces the base
-        path — the per-cuboid comparator the benchmarks time against.
-        Either way the stored entry is byte-identical: the rollup gate
-        refuses whenever combining could differ from a base scan.
-        """
+        Coarser aggregates are not combined from stored finer ones here:
+        the columnar scan is faster at every measured scale (see
+        docs/PERFORMANCE.md); :meth:`roll_up` is the explicit reuse
+        API."""
         _MATERIALIZE.inc()
-        if shared_scan and grouping:
-            source = self._rollup_source(function, grouping)
-            if source is not None:
-                return self._materialize_rollup(source, function, grouping)
-        return self._materialize_base(function, grouping)
-
-    def _materialize_base(self, function: AggregationFunction,
-                          grouping: Dict[str, str]) -> MaterializedAggregate:
-        """The base path: lay the grouping out columnar and evaluate
-        ``function`` with its batch kernel — falling back to expanding
-        the characterization maps (key-space overflow) and/or per-group
-        ``apply`` (no kernel, poisoned measures) on the same groups."""
-        _MATERIALIZE_BASE.inc()
         with trace.span("preagg.materialize",
                         grouping=tuple(sorted(grouping.items())),
                         function=function.name):
@@ -193,99 +167,6 @@ class PreAggregateStore:
             groups=groups,
             summarizability=verdict,
             versions=stamp,
-        )
-        self._store[self._key(grouping, function)] = materialized
-        return materialized
-
-    def _rollup_source(
-        self, function: AggregationFunction, grouping: Dict[str, str],
-    ) -> Optional[MaterializedAggregate]:
-        """The smallest stored, fresh, strictly finer aggregate from
-        which ``grouping`` can be safely combined — or ``None``, in
-        which case the caller scans from base."""
-        target_key = tuple(sorted(grouping.items()))
-        best: Optional[MaterializedAggregate] = None
-        for (grouping_key, function_name), stored in list(self._store.items()):
-            if function_name != function.name:
-                continue
-            if grouping_key == target_key:
-                continue  # recomputation was asked for; do not self-serve
-            if best is not None and len(stored.results) >= len(best.results):
-                continue  # a smaller parent is already in hand
-            if self.can_roll_up(stored, function, grouping):
-                best = stored
-        return best
-
-    def _materialize_rollup(
-        self,
-        stored: MaterializedAggregate,
-        function: AggregationFunction,
-        grouping: Dict[str, str],
-    ) -> MaterializedAggregate:
-        """Combine a finer stored aggregate into ``grouping`` — cell
-        values merge with ``function.combine``, groups by set union —
-        and store the result exactly as the base path would."""
-        _MATERIALIZE_ROLLUP.inc()
-        with trace.span("preagg.materialize_rollup",
-                        source=tuple(sorted(stored.grouping.items())),
-                        target=tuple(sorted(grouping.items())),
-                        function=function.name):
-            stamp = self._stamp()
-            partials: Dict[GroupKey, list] = {}
-            member_sets: Dict[GroupKey, List[AbstractSet[Fact]]] = {}
-            # per-dimension value → target-ancestor tables, built once
-            # from the stored category's members so the per-cell loop
-            # below is nothing but dict lookups
-            translators = self._translators(stored.grouping, grouping)
-            source_groups = stored.groups
-            for combo, result in stored.results.items():
-                target_key = []
-                for pos, table, name, target_cat in translators:
-                    value = combo[pos]
-                    if table is not None:
-                        parent = table.get(value, _MISSING)
-                        if parent is _MISSING:
-                            # a stored value outside the category's
-                            # member list (e.g. carried over from a
-                            # previous rollup): resolve and memoize
-                            parent = table[value] = self._parent_in(
-                                name, value, target_cat)
-                        if parent is None:
-                            target_key = None  # no target ancestor
-                            break
-                        value = parent
-                    target_key.append(value)
-                if target_key is None:
-                    continue
-                target_combo = tuple(target_key)
-                bucket = partials.get(target_combo)
-                if bucket is None:
-                    partials[target_combo] = [result]
-                    member_sets[target_combo] = [source_groups[combo]]
-                else:
-                    bucket.append(result)
-                    member_sets[target_combo].append(source_groups[combo])
-            # one n-ary union per target cell instead of building up
-            # intermediate sets pairwise — the former cube hotspot
-            groups: Dict[GroupKey, AbstractSet[Fact]] = {
-                combo: frozenset().union(*sets)
-                for combo, sets in member_sets.items()
-            }
-            results = {
-                combo: function.combine(values)
-                for combo, values in partials.items()
-            }
-            verdict = self._verdict(grouping, function.distributive)
-        materialized = MaterializedAggregate(
-            grouping=dict(grouping),
-            function_name=function.name,
-            results=results,
-            groups=groups,
-            summarizability=verdict,
-            versions=stamp,
-            via="rollup",
-            source_grouping=dict(stored.grouping),
-            source_size=len(stored.results),
         )
         self._store[self._key(grouping, function)] = materialized
         return materialized
@@ -538,6 +419,5 @@ class PreAggregateStore:
     ) -> Dict[GroupKey, object]:
         """The fallback: evaluate directly against the base data (used
         when reuse is refused; the benchmarks compare its cost with
-        :meth:`roll_up`).  Always takes the base path — this method is
-        the oracle the shared-scan equivalence tests compare against."""
-        return self.materialize(function, grouping, shared_scan=False).results
+        :meth:`roll_up`)."""
+        return self.materialize(function, grouping).results

@@ -81,6 +81,15 @@ _SUMM_STATIC = metrics.counter("rollup_index.summarizability.static_fast_path")
 _EMPTY_IDS: FrozenSet[int] = frozenset()
 
 
+def _fresh(cache: Dict[tuple, tuple], key: tuple, stamp: tuple):
+    """The answer ``cache`` holds for ``key`` if it was computed at
+    ``stamp`` (the MO versions it depends on), else ``None``."""
+    entry = cache.get(key)
+    if entry is not None and entry[0] == stamp:
+        return entry[1]
+    return None
+
+
 class _DimensionIndex:
     """The closure tables of one dimension, valid for one version pair."""
 
@@ -192,9 +201,13 @@ class RollupIndex:
         self._facts = InternTable()
         self._value_tables: Dict[str, InternTable] = {}
         self._dims: Dict[str, _DimensionIndex] = {}
-        self._verdicts: Dict[tuple, SummarizabilityCheck] = {}
-        self._coverage: Dict[tuple, bool] = {}
-        self._strictness: Dict[tuple, bool] = {}
+        # verdict caches: keyed by what was asked, valued (version
+        # stamp, answer) — a stale stamp is replaced in place, so each
+        # cache holds one entry per distinct question however often the
+        # MO mutates in between
+        self._verdicts: Dict[tuple, Tuple[tuple, SummarizabilityCheck]] = {}
+        self._coverage: Dict[tuple, Tuple[tuple, bool]] = {}
+        self._strictness: Dict[tuple, Tuple[tuple, bool]] = {}
         self._mo_fact_ids: Optional[FrozenSet[int]] = None
         self._mo_facts_version = -1
         self._columnar = None
@@ -394,20 +407,17 @@ class RollupIndex:
         The check scans the grouped dimensions' hierarchies and base
         mappings, so it dominates repeated aggregate formations; the
         verdict depends only on the grouped dimensions' state, so the
-        cache key is the grouping plus those dimensions' order/relation
-        version pairs — a mutation anywhere relevant misses the cache
-        and re-checks.
+        cache holds one verdict per grouping, stamped with those
+        dimensions' order/relation version pairs — a mutation anywhere
+        relevant misses the cache and replaces the entry.
         """
         names = tuple(sorted(grouping))
         mo = self.mo
-        key = (
-            tuple((name, grouping[name]) for name in names),
-            distributive,
-            at,
-            tuple((mo.dimension(name).order.version,
-                   mo.relation(name).version) for name in names),
-        )
-        verdict = self._verdicts.get(key)
+        key = (tuple((name, grouping[name]) for name in names),
+               distributive, at)
+        stamp = tuple((mo.dimension(name).order.version,
+                       mo.relation(name).version) for name in names)
+        verdict = _fresh(self._verdicts, key, stamp)
         if verdict is None:
             _SUMM_MISS.inc()
             if at is None and distributive and self._static_safe(grouping):
@@ -422,7 +432,7 @@ class RollupIndex:
                                 grouping=names):
                     verdict = check_summarizability(mo, dict(grouping),
                                                     distributive, at=at)
-            self._verdicts[key] = verdict
+            self._verdicts[key] = (stamp, verdict)
         else:
             _SUMM_HIT.inc()
         return verdict
@@ -473,19 +483,20 @@ class RollupIndex:
                            category_name: str) -> bool:
         """Definition 2's strict-path condition (no fact characterized
         by two values of the category), answered from the cached
-        per-fact grouping map and memoized per version pair."""
+        per-fact grouping map and memoized per category, stamped with the
+        dimension's version pair."""
         dimension = self.mo.dimension(dimension_name)
         if category_name == dimension.dtype.top_name:
             return True
-        key = (dimension_name, "*paths*", category_name,
-               dimension.order.version,
-               self.mo.relation(dimension_name).version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*paths*", category_name)
+        stamp = (dimension.order.version,
+                 self.mo.relation(dimension_name).version)
+        cached = _fresh(self._strictness, key, stamp)
         if cached is None:
             per_fact = self.grouping_values_per_fact(dimension_name,
                                                      category_name)
             cached = all(len(values) <= 1 for values in per_fact.values())
-            self._strictness[key] = cached
+            self._strictness[key] = (stamp, cached)
         return cached
 
     # -- hierarchy properties ----------------------------------------------
@@ -496,13 +507,13 @@ class RollupIndex:
         ancestor sets: one ``ancestors(value) ∩ upper-members``
         intersection per lower value, instead of the naive
         O(|lower|·|upper|) per-pair containment scan of
-        :func:`repro.core.properties.mapping_is_strict`.  Cached keyed
-        by the dimension's order version (category membership bumps the
-        order counter too, via ``add_node``)."""
+        :func:`repro.core.properties.mapping_is_strict`.  Cached per pair,
+        stamped with the dimension's order version (category membership
+        bumps the order counter too, via ``add_node``)."""
         dimension = self.mo.dimension(dimension_name)
-        key = (dimension_name, lower_category, upper_category,
-               dimension.order.version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, lower_category, upper_category)
+        stamp = (dimension.order.version,)
+        cached = _fresh(self._strictness, key, stamp)
         if cached is not None:
             _STRICT_HIT.inc()
             return cached
@@ -516,7 +527,7 @@ class RollupIndex:
             if len(parents) > 1:
                 result = False
                 break
-        self._strictness[key] = result
+        self._strictness[key] = (stamp, result)
         return result
 
     def hierarchy_strict(self, dimension_name: str) -> bool:
@@ -525,8 +536,9 @@ class RollupIndex:
         repeated queries (the analyzer, the pre-aggregate store) answer
         from the per-pair cache."""
         dimension = self.mo.dimension(dimension_name)
-        key = (dimension_name, "*hierarchy*", dimension.order.version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*hierarchy*")
+        stamp = (dimension.order.version,)
+        cached = _fresh(self._strictness, key, stamp)
         if cached is not None:
             _STRICT_HIT.inc()
             return cached
@@ -538,17 +550,18 @@ class RollupIndex:
             for lower in names for upper in names
             if lower != upper and dtype.leq(lower, upper)
         )
-        self._strictness[key] = result
+        self._strictness[key] = (stamp, result)
         return result
 
     def hierarchy_partitioning(self, dimension_name: str) -> bool:
         """Definition 3 for the whole dimension, from cached ancestor
         sets (a value is covered iff its ancestors meet some
         immediate-predecessor category, or ⊤ is a predecessor).  Cached
-        keyed by the dimension's order version."""
+        per dimension, stamped with its order version."""
         dimension = self.mo.dimension(dimension_name)
-        key = (dimension_name, "*partitioning*", dimension.order.version)
-        cached = self._strictness.get(key)
+        key = (dimension_name, "*partitioning*")
+        stamp = (dimension.order.version,)
+        cached = _fresh(self._strictness, key, stamp)
         if cached is not None:
             _STRICT_HIT.inc()
             return cached
@@ -573,7 +586,7 @@ class RollupIndex:
                     break
             if not result:
                 break
-        self._strictness[key] = result
+        self._strictness[key] = (stamp, result)
         return result
 
     # -- interned orderings ------------------------------------------------
@@ -737,20 +750,18 @@ class RollupIndex:
         Schema-level Lenz-Shoshani verdicts imply this but are coarser:
         a grouping can fail the verdict because of *another* dimension
         (or another branch of this one) while this particular pair of
-        levels combines exactly.  Cached keyed by the dimension's
-        version pair plus the fact-set version (the target map at ⊤ is
-        the MO's whole fact set).
+        levels combines exactly.  Cached per level pair, stamped with
+        the dimension's version pair plus the fact-set version (the
+        target map at ⊤ is the MO's whole fact set).
         """
         if stored_category == target_category:
             return True
         dimension = self.mo.dimension(dimension_name)
-        key = (
-            dimension_name, stored_category, target_category,
-            dimension.order.version,
-            self.mo.relation(dimension_name).version,
-            self.mo.facts_version,
-        )
-        cached = self._coverage.get(key)
+        key = (dimension_name, stored_category, target_category)
+        stamp = (dimension.order.version,
+                 self.mo.relation(dimension_name).version,
+                 self.mo.facts_version)
+        cached = _fresh(self._coverage, key, stamp)
         if cached is not None:
             _COVERAGE_HIT.inc()
             return cached
@@ -787,7 +798,7 @@ class RollupIndex:
                     target_map.get(fact, ())):
                 result = False
                 break
-        self._coverage[key] = result
+        self._coverage[key] = (stamp, result)
         return result
 
     def group_counts(self, dimension_name: str,

@@ -1,9 +1,9 @@
 """Incremental (delta) maintenance of the rollup index.
 
-The acceptance pin of the shared-scan issue: a single fact insertion no
-longer triggers a full ``_build_dimension_index`` rebuild — it applies
-as a patch to the existing closure and characterization maps, counted
-by ``rollup_index.delta_applied``.  The property test is the safety
+The pinned behaviour: a single fact insertion does not trigger a full
+``_build_dimension_index`` rebuild — it applies as a patch to the
+existing closure and characterization maps, counted by
+``rollup_index.delta_applied``.  The property test is the safety
 net: across random sequences of delta-able mutations (new facts,
 fact-value relates, single-edge hierarchy additions), the maintained
 index must answer exactly like an index built from scratch, and

@@ -331,3 +331,36 @@ class TestCopySemantics:
         top = restricted.dimension("A").top_value
         assert (restricted.rollup_index().facts_characterized_by("A", top)
                 == frozenset(keep))
+
+
+class TestVerdictCacheBounds:
+    """The verdict caches (summarizability, strictness, coverage) hold
+    one entry per distinct question: a mutation replaces the stale
+    entry instead of adding a new version-keyed one beside it."""
+
+    def test_mutate_and_query_rounds_keep_one_entry_per_grouping(self):
+        mo, _ = _tiny_mo()
+        index = mo.rollup_index()
+        a = mo.dimension("A")
+        groupings = [{"A": "A"}, {"A": "A", "B": "B"}]
+        spec = make_result_spec()
+
+        def query_round():
+            for grouping in groupings:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    aggregate(mo, SetCount(), grouping, spec)
+                index.summarizability(grouping, distributive=True)
+            index.hierarchy_strict("A")
+            index.covers("A", "A", a.dtype.top_name)
+
+        query_round()
+        strictness, coverage = len(index._strictness), len(index._coverage)
+        for i in range(50):
+            fact = Fact(fid=100 + i, ftype="T")
+            mo.add_fact(fact)
+            mo.relate(fact, "A", _value_of(a, (i % 3) + 1))
+            query_round()
+        assert len(index._verdicts) == len(groupings)
+        assert len(index._strictness) == strictness
+        assert len(index._coverage) == coverage == 1

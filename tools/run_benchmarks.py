@@ -19,12 +19,9 @@ root (see ``docs/PERFORMANCE.md`` for how to read it):
   from naive characterization maps versus the index's;
 * ``cube_materialize_all`` — computing every cuboid of the lattice
   per-cuboid with the α operator and no index (the paper's direct
-  aggregate formation, repeated once per cuboid) versus the shared-scan
-  engine (base cells scanned once from the index's cached maps, coarser
-  cuboids combined from their smallest stored parent wherever the
-  per-dimension coverage gate allows); the extra
-  ``unshared_indexed_ops_per_sec`` column records the middle rung —
-  indexed maps, but every cuboid scanned independently;
+  aggregate formation, repeated once per cuboid) versus
+  ``CubeBuilder.materialize_all`` (every cuboid laid out columnar from
+  the rollup index and evaluated with the batch kernel);
 * ``mutation_maintenance`` — a fixed interleaved sequence of fact
   relinks and group-count queries with delta maintenance disabled
   (every query after a mutation pays a full closure rebuild) versus
@@ -282,8 +279,8 @@ def _materialize_lattice_keys(mo):
 def naive_materialize_all(mo):
     """The agreement oracle: every cuboid's groups and cell values
     computed from per-value descendant walks (no index, no parent
-    reuse).  ``check_agreement`` asserts the shared-scan engine's
-    stored cells are byte-identical to these."""
+    reuse).  ``check_agreement`` asserts the cube engine's stored
+    cells are byte-identical to these."""
     function = SetCount()
     out = {}
     for key in _materialize_lattice_keys(mo):
@@ -327,7 +324,7 @@ def naive_cube_aggregate(mo):
     """Compute every cuboid of the lattice the pre-engine way: one full
     α aggregate formation per cuboid, naive per-value traversals
     (``use_index=False``), nothing shared between cuboids.  This is the
-    paper's direct evaluation strategy and the baseline the shared-scan
+    paper's direct evaluation strategy and the baseline the cube
     engine replaces."""
     spec = make_result_spec()
     out = []
@@ -338,15 +335,13 @@ def naive_cube_aggregate(mo):
     return out
 
 
-def materialize_all_op(mo, shared_scan: bool):
+def materialize_all_op(mo):
     """A zero-arg op materializing the full cuboid lattice in a fresh
-    builder (fresh pre-aggregate store) — per-cuboid base scans over
-    the index's maps when ``shared_scan`` is off, parent rollups when
-    on."""
+    builder (fresh pre-aggregate store)."""
 
     def op():
-        return CubeBuilder(mo, dimensions=MATERIALIZE_DIMENSIONS,
-                           shared_scan=shared_scan).materialize_all()
+        builder = CubeBuilder(mo, dimensions=MATERIALIZE_DIMENSIONS)
+        return builder.materialize_all()
 
     return op
 
@@ -586,26 +581,18 @@ def check_agreement(mo) -> None:
         assert kernel == naive_core, f"kernel != naive for {function.name}"
         assert object_path == naive_core, (
             f"object path != naive for {function.name}")
-    function = SetCount()
-    shared = CubeBuilder(mo, dimensions=MATERIALIZE_DIMENSIONS,
-                         function=function, shared_scan=True)
-    base = CubeBuilder(mo, dimensions=MATERIALIZE_DIMENSIONS,
-                       function=function, shared_scan=False)
-    shared.materialize_all()
-    base.materialize_all()
+    cube = CubeBuilder(mo, dimensions=MATERIALIZE_DIMENSIONS,
+                       function=SetCount())
+    cube.materialize_all()
     naive_cube = naive_materialize_all(mo)
     compared = 0
-    for grouping, _function_name, stored in shared.store.entries():
-        other = base.store.get(function, grouping)
-        assert other is not None
-        assert stored.results == other.results
-        assert stored.groups == other.groups
+    for grouping, _function_name, stored in cube.store.entries():
         naive_groups, naive_results = naive_cube[
             tuple(sorted(grouping.items()))]
         assert stored.results == naive_results
         assert stored.groups == naive_groups
         compared += 1
-    assert compared > 0
+    assert compared == len(naive_cube)
 
 
 def bench_scale(n_patients: int, min_seconds: float,
@@ -636,7 +623,7 @@ def bench_scale(n_patients: int, min_seconds: float,
         ("cube_build", lambda: naive_cube_sizes(mo),
          lambda: indexed_cube_sizes(mo)),
         ("cube_materialize_all", lambda: naive_cube_aggregate(mo),
-         materialize_all_op(mo, True)),
+         materialize_all_op(mo)),
         ("mutation_maintenance",
          mutation_maintenance_op(mo, generated, False),
          mutation_maintenance_op(mo, generated, True)),
@@ -648,10 +635,6 @@ def bench_scale(n_patients: int, min_seconds: float,
             "indexed_ops_per_sec": round(indexed, 3),
             "speedup": round(indexed / naive, 2),
         }
-    # the middle ground between the two cube_materialize_all variants:
-    # indexed characterization maps, but every cuboid base-scanned
-    cell["cube_materialize_all"]["unshared_indexed_ops_per_sec"] = round(
-        timed(materialize_all_op(mo, False), min_seconds), 3)
     # the kernel vs object-path split of the grouping core (the kernel
     # rung is what indexed_ops_per_sec timed above)
     core = cell["aggregate_grouping"]
@@ -680,7 +663,7 @@ def _metrics_snapshot(mo, generated) -> dict:
     """One instrumented pass of the indexed operations, observed via
     the obs counters: reset, run, snapshot.  Timing is done above with
     warm caches; this pass shows *why* the indexed paths are fast
-    (hit/miss ratios, answer paths, parent rollups, closure deltas)."""
+    (hit/miss ratios, answer paths, cuboids materialized, closure deltas)."""
     metrics.reset()
     indexed_group_counts(mo)
     run_aggregate(mo, use_index=True)
@@ -700,8 +683,7 @@ def _metrics_snapshot(mo, generated) -> dict:
     _sharded_query(mo).execute(SumFn("Age"), check=False, cache=False,
                                backend=ShardedBackend(n_shards=2))
     indexed_cube_sizes(mo)
-    CubeBuilder(mo, dimensions=MATERIALIZE_DIMENSIONS,
-                shared_scan=True).materialize_all()
+    materialize_all_op(mo)()
     clone = mo.copy()
     index = clone.rollup_index()
     index.group_counts(ROLLUP_DIMENSION, ROLLUP_CATEGORY)
